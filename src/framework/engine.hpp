@@ -109,17 +109,6 @@ class Engine {
   /// take the acquire-published result lock-free.
   const PartitionedCoo& partitioned_coo() const;
 
-  /// Forces the lazily built traversal structures (dense chunk bounds,
-  /// and the partitioned COO on partitioned models) to exist NOW, on the
-  /// caller's thread — the publish-time pre-warm hook. Without it the
-  /// first dense query after a rebind pays the builds inside its own
-  /// latency. Both builds are internally synchronized (see above), so
-  /// this is safe to run while readers query.
-  void prewarm() const {
-    dense_chunks();
-    if (partitioned()) partitioned_coo();
-  }
-
   /// Reusable claim bitset for the sparse push path. edge_map borrows it
   /// and returns it all-zero (clearing only the bits it set), so steady-
   /// state sparse steps do no n-dependent allocation or clearing. Like

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 
 #include "algorithms/registry.hpp"
 #include "support/error.hpp"
@@ -57,9 +56,6 @@ GraphService::GraphService(SnapshotStore& store, GraphServiceOptions opts)
   VEBO_CHECK(!opts_.enable_cache || opts_.cache_capacity >= 1,
              "GraphService: cache_capacity must be >= 1 "
              "(set enable_cache = false to serve uncached)");
-  VEBO_CHECK(!opts_.serve_stale || opts_.enable_cache,
-             "GraphService: serve_stale requires enable_cache "
-             "(stale answers come from the retired cache generation)");
   workers_.reserve(opts_.workers);
   worker_state_.reserve(opts_.workers);
   for (std::size_t i = 0; i < opts_.workers; ++i)
@@ -87,8 +83,7 @@ Submission GraphService::submit(Query q) {
                               q.deadline_ms * 1000.0)));
   if (q.cancel.can_be_cancelled()) item.ctx.set_cancel_token(q.cancel);
   // The enqueue stamp reuses the admission Timer's start (same steady
-  // epoch) — no clock read, so it is unconditional. Whether anything
-  // consumes it (queue-wait span, trace base) is decided at pickup.
+  // epoch) — no clock read, so it is unconditional.
   item.enqueued_ns = item.submitted.start_ns();
   item.q = std::move(q);
   sub.result = item.promise.get_future();
@@ -117,34 +112,6 @@ Submission GraphService::submit(Query q) {
       queue_.push_back(std::move(item));
     }
   }
-  // Graceful degradation: a backpressure rejection may instead be
-  // answered from the previous-epoch generation (stale-serve mode only;
-  // the result carries stale=true). The submission then counts as
-  // accepted + completed, never as rejected. The query is entered as
-  // in-flight BEFORE the stale lookup and settled after, so the ledger
-  // invariant holds for observers during the lookup too.
-  if (sub.status == SubmitStatus::QueueFull && opts_.serve_stale) {
-    {
-      MutexLock lk(stats_mutex_);
-      ++stats_.submitted;
-      ++stats_.in_flight;
-    }
-    if (try_serve_stale(item, /*ws=*/nullptr)) {
-      sub.status = SubmitStatus::Accepted;
-      return sub;
-    }
-    {
-      MutexLock lk(stats_mutex_);
-      --stats_.in_flight;
-      ++stats_.rejected;
-      ++stats_.errors_by_code[code_index(ErrorCode::Overloaded)];
-    }
-    // Rejections count toward the windowed error rate (they ARE client-
-    // visible failures) but carry no latency sample.
-    observe_settled(item.q.algo, -1.0, code_index(ErrorCode::Overloaded));
-    sub.result = {};  // rejected submissions carry no future
-    return sub;
-  }
   if (sub.status == SubmitStatus::Accepted) {
     queue_cv_.notify_one();
   } else {
@@ -156,35 +123,28 @@ Submission GraphService::submit(Query q) {
       // only (nothing to attach a ServiceError to).
       ++stats_.errors_by_code[code_index(ErrorCode::Overloaded)];
     }
+    // Rejections count toward the windowed error rate (they ARE client-
+    // visible failures) but carry no latency sample.
     observe_settled(item.q.algo, -1.0, code_index(ErrorCode::Overloaded));
     sub.result = {};  // rejected submissions carry no future
-    return sub;
   }
   return sub;
 }
 
-QueryResult GraphService::query(Query q, RetryPolicy retry) {
-  double backoff_ms = retry.initial_backoff_ms;
-  for (int attempt = 1;; ++attempt) {
-    Submission sub = submit(q);  // keep q for a possible retry
-    if (sub.accepted()) return sub.result.get();
-    // Stopped is terminal; QueueFull is the retryable overload signal.
-    if (sub.status == SubmitStatus::Stopped || attempt >= retry.max_attempts)
-      throw ServiceError(ErrorCode::Overloaded,
-                         std::string("GraphService: query rejected (") +
-                             to_string(sub.status) + ")");
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-        std::max(0.0, backoff_ms)));
-    backoff_ms = std::min(backoff_ms * retry.multiplier,
-                          retry.max_backoff_ms);
-  }
+QueryResult GraphService::query(Query q) {
+  Submission sub = submit(std::move(q));
+  if (!sub.accepted())
+    throw ServiceError(ErrorCode::Overloaded,
+                       std::string("GraphService: query rejected (") +
+                           to_string(sub.status) + ")");
+  return sub.result.get();
 }
 
 std::uint64_t GraphService::publish(
     std::shared_ptr<const Graph> graph, order::Partitioning partitioning,
     std::shared_ptr<const Permutation> perm, const algo::EdgeDelta* delta) {
   // Stream-path stage span (writer thread): covers the store publish
-  // AND the cache invalidation/rotation/refresh that makes the epoch
+  // AND the cache invalidation/refresh that makes the epoch
   // visible. StageScope, not SpanScope: the flight recorder sees
   // publishes too.
   Timer wall;
@@ -201,12 +161,8 @@ std::uint64_t GraphService::publish(
     if (opts_.refresh_on_publish && opts_.enable_cache && delta != nullptr)
       refresh_cache(prev_v, v, *delta, perm_copy);
     else
-      invalidate_cache(v);
+      invalidate_cache();
   }
-  // Pre-warm AFTER the epoch is visible (readers never wait on it): the
-  // lease forces the engine rebind and the lazy structure builds onto
-  // this thread, so the first query of the epoch skips them.
-  if (opts_.prewarm_on_publish) prewarm_engines();
   // Anomaly trigger: a stalled publish means readers are pinned to an
   // aging epoch — exactly the moment to freeze the black box.
   if (wall.elapsed_ms() >= opts_.telemetry.anomaly_publish_stall_ms) {
@@ -255,7 +211,7 @@ void GraphService::worker_loop(std::size_t worker_idx) {
       item = std::move(queue_.front());
       queue_.pop_front();
     }
-    // Heartbeat: busy from pickup until settle_heartbeat() right before
+    // Heartbeat: busy from pickup until settle() idles it right before
     // promise resolution, so health().oldest_running_ms sees queue-stall
     // and run time alike, and a returned future::get() never observes
     // its own query still in flight.
@@ -269,40 +225,25 @@ void GraphService::worker_loop(std::size_t worker_idx) {
     if (FaultInjector::instance().delay_point(
             FaultInjector::Hook::WorkerStall))
       ws.pickup_us = steady_now_us();
-    // Every process() path settles the heartbeat itself (see
-    // settle_heartbeat): it must happen BEFORE the promise resolves,
-    // which only process() can order.
     process(item, ws);
   }
 }
 
-void GraphService::settle_heartbeat(WorkerState* ws) {
-  if (ws == nullptr) return;
-  ws->processed.fetch_add(1, std::memory_order_relaxed);
-  ws->busy_since_us.store(-1, std::memory_order_release);
-}
-
 void GraphService::process(Item& item, WorkerState& ws) {
-  // Arm the worker's trace BEFORE the shed checks: a shed query's
-  // capture (queue-wait only) is still forensics — it shows the wait
-  // that killed it. Opt-in tracing (Query::trace) uses the full-size
-  // RAII trace and returns the spans on the result; tail sampling uses
-  // the thread's reusable ring and settles at completion (keep into
-  // trace_store_ or drop). Mutually exclusive by construction.
-  std::optional<obs::ThreadTrace> trace;
-  const bool sampling = !item.q.trace && opts_.telemetry.tail_sampling;
-  if (item.q.trace)
-    trace.emplace();
-  else if (sampling)
-    // Reuse the enqueue stamp as the trace base: saves a clock read per
-    // query and lines the queue-wait span up at t=0 in the export.
+  // Arm the worker's reusable trace ring BEFORE the shed checks: a shed
+  // query's capture (queue-wait only) is still forensics — it shows the
+  // wait that killed it. Tail sampling and an opted-in Query::trace share
+  // the ring, so no query allocates one; finish_trace() decides what is
+  // kept. The enqueue stamp is the trace base: saves a clock read per
+  // query and lines the queue-wait span up at t=0 in the export.
+  if (item.q.trace || opts_.telemetry.tail_sampling)
     obs::Tracer::begin_reusing(opts_.telemetry.sample_ring_capacity,
                                item.enqueued_ns);
   // The armed path pays NO extra clock read here: the worker loop
   // already stamped pickup for the in-flight heartbeat, so the
-  // queue-wait end (which doubles as the cache-probe start below; the
-  // probe's end on a hit is derived from the completion latency) is
-  // that same stamp, clamped against sub-microsecond truncation.
+  // queue-wait end (which doubles as the cache-probe start; the probe's
+  // end on a hit is derived from the completion latency) is that same
+  // stamp, clamped against sub-microsecond truncation.
   std::uint64_t pickup_ns = 0;
   if (item.enqueued_ns != 0 && obs::stage_wanted()) {
     // The wait already happened, so record it with explicit stamps (its
@@ -316,316 +257,294 @@ void GraphService::process(Item& item, WorkerState& ws) {
     s.dur_ns = pickup_ns - item.enqueued_ns;
     obs::record_stage(s);
   }
+  Outcome out;
+  const auto fail_with = [&out](ErrorCode code, const std::string& what) {
+    out.code = code;
+    out.error = std::make_exception_ptr(ServiceError(code, what));
+  };
   // Shed before execution: a queued query whose client already gave up
   // (cancel fired / deadline lapsed) must fail fast — no snapshot pin,
   // no engine lease, no run.
   if (item.ctx.cancelled()) {
-    {
-      MutexLock lk(stats_mutex_);
-      ++stats_.shed_cancelled;
+    out.shed = true;
+    fail_with(ErrorCode::Cancelled, "query cancelled while queued");
+  } else if (item.ctx.deadline_expired()) {
+    out.shed = true;
+    fail_with(ErrorCode::DeadlineExceeded,
+              "query deadline expired while queued (shed before execution)");
+  } else {
+    try {
+      answer(item, pickup_ns, out);
+    } catch (const ServiceError& e) {
+      // Already typed: hand the original object on.
+      out.code = e.code();
+      out.error = std::current_exception();
+    } catch (const CancelledError& e) {
+      // Cooperative checkpoint fired mid-run (within one superstep of
+      // the cancel); retype so clients branch on code().
+      fail_with(ErrorCode::Cancelled, e.what());
+    } catch (const DeadlineExceededError& e) {
+      fail_with(ErrorCode::DeadlineExceeded, e.what());
+    } catch (const std::exception& e) {
+      // Algorithm throw, translation failure, allocation failure,
+      // injected fault — anything that escaped the run. The engine lease
+      // and the snapshot pin were released by RAII on the unwind.
+      fail_with(ErrorCode::Internal, e.what());
+    } catch (...) {
+      fail_with(ErrorCode::Internal, "unknown exception");
     }
-    fail(item, ErrorCode::Cancelled, "query cancelled while queued", sampling,
-         &ws);
-    return;
   }
-  if (item.ctx.deadline_expired()) {
-    {
-      MutexLock lk(stats_mutex_);
-      ++stats_.shed_deadline;
+  settle(item, ws, out);
+}
+
+void GraphService::answer(Item& item, std::uint64_t pickup_ns, Outcome& out) {
+  QueryResult& r = out.result;
+  const SnapshotRef snap = store_.acquire();
+  if (!snap)
+    throw ServiceError(ErrorCode::NoSnapshot,
+                       "GraphService: no snapshot published yet");
+  const algo::AlgorithmSpec* spec = algo::find_spec(item.q.algo);
+  if (spec == nullptr)
+    throw ServiceError(ErrorCode::BadRequest,
+                       "GraphService: unknown algorithm code: " + item.q.algo);
+
+  // Validate against the schema (throws on unknown/ill-typed params,
+  // fills defaults) with the legacy `source` field folded in. The
+  // normalized set stays in ORIGINAL ids — it is the client-visible
+  // identity of the query, and what the cache keys on. Validation
+  // failures are the client's fault: BadRequest, never Internal.
+  algo::QueryParams norm;
+  const bool takes_source = spec->params.find("source") != nullptr;
+  const Permutation* perm = snap.perm();
+  VertexId source = 0;
+  try {
+    algo::QueryParams raw = item.q.params;
+    if (takes_source && !raw.has("source")) raw.set("source", item.q.source);
+    norm = spec->params.validate(raw);
+    if (takes_source) {
+      source = norm.get_vertex("source");
+      if (perm != nullptr) {
+        VEBO_CHECK(source < static_cast<VertexId>(perm->size()),
+                   "GraphService: source out of range");
+        source = (*perm)[source];
+      }
+      VEBO_CHECK(source < snap.graph().num_vertices(),
+                 "GraphService: source out of range");
     }
-    // Deadline pressure is exactly what stale-serve degrades under: a
-    // previous-epoch answer now beats a typed failure.
-    if (try_serve_stale(item, &ws)) {
-      // Served after all: settle the sample as a success (the stale
-      // answer was fast; the shed wait is what the window already saw).
-      if (sampling)
-        settle_sample(item, item.submitted.elapsed_ms(), /*ok=*/true,
-                      ErrorCode::DeadlineExceeded, 0);
+  } catch (const Error& e) {
+    throw ServiceError(ErrorCode::BadRequest, e.what());
+  }
+  r.version = snap.version();
+
+  const CacheKey key = CacheKey::make(spec->code, norm);
+  const bool want_payload = item.q.result == ResultKind::Payload;
+  // Probe span stamps by hand, not StageScope: the start reuses the
+  // pickup read, and a HIT's end is derived from the completion latency
+  // in settle() — zero extra clock reads on the cache-hit hot path. A
+  // miss pays one read here, noise next to the execution that follows.
+  std::uint64_t probe_start = 0;
+  if (opts_.enable_cache) {
+    if (pickup_ns != 0)
+      probe_start = pickup_ns;
+    else if (obs::stage_wanted())
+      probe_start = obs::Tracer::now_ns();
+    {
+      MutexLock lk(cache_mutex_);
+      if (cache_version_ == snap.version()) {
+        if (const ResultCache::Value* v = cache_.find(key)) {
+          r.value = v->checksum;
+          if (want_payload) r.payload = v->payload;
+          r.cache_hit = true;
+        }
+      }
+    }
+    if (r.cache_hit) {
+      out.probe_start = probe_start;
       return;
     }
-    fail(item, ErrorCode::DeadlineExceeded,
-         "query deadline expired while queued (shed before execution)",
-         sampling, &ws);
-    return;
-  }
-  try {
-    QueryResult r;
-    const SnapshotRef snap = store_.acquire();
-    if (!snap)
-      throw ServiceError(ErrorCode::NoSnapshot,
-                         "GraphService: no snapshot published yet");
-    const algo::AlgorithmSpec* spec = algo::find_spec(item.q.algo);
-    if (spec == nullptr)
-      throw ServiceError(ErrorCode::BadRequest,
-                         "GraphService: unknown algorithm code: " +
-                             item.q.algo);
-
-    // Validate against the schema (throws on unknown/ill-typed params,
-    // fills defaults) with the legacy `source` field folded in. The
-    // normalized set stays in ORIGINAL ids — it is the client-visible
-    // identity of the query, and what the cache keys on. Validation
-    // failures are the client's fault: BadRequest, never Internal.
-    algo::QueryParams norm;
-    const bool takes_source = spec->params.find("source") != nullptr;
-    const Permutation* perm = snap.perm();
-    VertexId source = 0;
-    try {
-      algo::QueryParams raw = item.q.params;
-      if (takes_source && !raw.has("source"))
-        raw.set("source", item.q.source);
-      norm = spec->params.validate(raw);
-      if (takes_source) {
-        source = norm.get_vertex("source");
-        if (perm != nullptr) {
-          VEBO_CHECK(source < static_cast<VertexId>(perm->size()),
-                     "GraphService: source out of range");
-          source = (*perm)[source];
-        }
-        VEBO_CHECK(source < snap.graph().num_vertices(),
-                   "GraphService: source out of range");
-      }
-    } catch (const Error& e) {
-      throw ServiceError(ErrorCode::BadRequest, e.what());
-    }
-    r.version = snap.version();
-
-    const CacheKey key = CacheKey::make(spec->code, norm);
-    const bool want_payload = item.q.result == ResultKind::Payload;
-    bool hit = false;
-    // Probe span stamps by hand, not StageScope: the start reuses the
-    // pickup read, and a HIT's end is derived from the completion
-    // latency (recorded below, once latency is known) — zero extra
-    // clock reads on the cache-hit hot path. A miss pays one read here,
-    // noise next to the execution that follows.
-    std::uint64_t probe_start = 0;
-    if (opts_.enable_cache) {
-      if (pickup_ns != 0)
-        probe_start = pickup_ns;
-      else if (obs::stage_wanted())
-        probe_start = obs::Tracer::now_ns();
-      {
-        MutexLock lk(cache_mutex_);
-        if (cache_version_ == snap.version()) {
-          if (const ResultCache::Value* v = cache_.find(key)) {
-            r.value = v->checksum;
-            if (want_payload) r.payload = v->payload;
-            hit = true;
-          }
-        }
-      }
-      if (probe_start != 0 && !hit) {
-        obs::Span s;
-        s.kind = obs::SpanKind::CacheProbe;
-        s.start_ns = probe_start;
-        const std::uint64_t now = obs::Tracer::now_ns();
-        s.dur_ns = now > probe_start ? now - probe_start : 0;
-        s.a = 0;
-        obs::record_stage(s);
-      }
-    }
-    if (!hit) {
-      // Execution-space params: the source translated to its snapshot
-      // position. Payload vertex ids come back in snapshot space and are
-      // translated once, here in the worker — never under the cache lock.
-      algo::QueryParams exec = norm;
-      if (takes_source) exec.set("source", source);
-      // Lease span with explicit stamps (a scoped span would have to
-      // outlive this statement or force a move of the lease).
-      const std::uint64_t lease_start =
-          obs::stage_wanted() ? obs::Tracer::now_ns() : 0;
-      EnginePool::Lease lease = pool_.lease(snap);
-      if (lease_start != 0) {
-        obs::Span s;
-        s.kind = obs::SpanKind::EngineLease;
-        s.start_ns = lease_start;
-        s.dur_ns = obs::Tracer::now_ns() - lease_start;
-        s.a = snap.version();
-        obs::record_stage(s);
-      }
-      // Chaos hook: a query that fails after the lease was taken — the
-      // lease must come back via RAII (invariant: outstanding() drains
-      // to zero whatever happens below).
-      FaultInjector::instance().failure_point(
-          FaultInjector::Hook::QueryThrow, "query execution");
-      algo::QueryPayload payload;
-      {
-        obs::StageScope run(obs::SpanKind::Execute);
-        if (run.live()) run.span().a = snap.version();
-        // Bind the query's context for the duration of the run: the
-        // framework entry points and the algorithms' hand-rolled loops
-        // poll it between supersteps, so cancellation / deadline expiry
-        // stops the traversal within one superstep. RAII unbind keeps a
-        // cancelled run from leaking its context into the engine's next
-        // lease.
-        Engine::ContextBinding bind(lease.engine(), item.ctx);
-        payload = spec->run(lease.engine(), exec, item.ctx);
-      }
-      lease.release();
-      std::shared_ptr<const algo::QueryPayload> shared;
-      {
-        obs::StageScope tr(obs::SpanKind::Translate);
-        if (tr.live()) {
-          std::uint64_t nvert = 0;
-          switch (payload.kind()) {
-            case algo::PayloadKind::VertexDoubles:
-              nvert = payload.doubles().size();
-              break;
-            case algo::PayloadKind::VertexIds:
-              nvert = payload.ids().size();
-              break;
-            default: break;
-          }
-          tr.span().a = nvert;
-        }
-        // The fold runs in snapshot order — the order the legacy surface
-        // sums in — so checksums stay byte-identical across orderings.
-        r.value = spec->checksum(payload);
-        // Translation is skipped entirely when nobody will see the
-        // payload (checksum-only query, cache off) — scalar answers stay
-        // cheap.
-        // Chaos hook: allocation failure at the one serve-path allocation
-        // that scales with the answer (per-vertex payload copy).
-        FaultInjector::instance().failure_point(
-            FaultInjector::Hook::AllocThrow, "payload allocation");
-        if (want_payload || opts_.enable_cache)
-          shared = std::make_shared<const algo::QueryPayload>(
-              perm != nullptr
-                  ? algo::translate_to_original_ids(payload, *perm)
-                  : std::move(payload));
-      }
-      if (want_payload) r.payload = shared;
-      if (opts_.enable_cache) {
-        std::uint64_t evicted_before = 0, evicted_after = 0;
-        {
-          MutexLock lk(cache_mutex_);
-          evicted_before = cache_.evictions();
-          if (cache_version_ != snap.version()) {
-            // First entry for a new epoch (or a publish raced us): start a
-            // fresh cache generation. An older-epoch result is simply not
-            // cached — snap.version() < cache_version_ must never
-            // resurrect entries for a superseded graph.
-            if (cache_version_ < snap.version()) {
-              if (opts_.serve_stale) {
-                // A publish bypassed this service's publish() (straight
-                // into the store): rotate here so the superseded
-                // generation stays servable, same as the publish path.
-                cache_.rotate();
-                stale_version_ = cache_version_;
-              } else {
-                cache_.clear();
-              }
-              cache_version_ = snap.version();
-              // The bypassing publish told us nothing about its
-              // permutation; a later refresh must assume it changed.
-              cache_perm_known_ = false;
-              cache_.insert(key, {r.value, shared, spec->code, norm});
-            }
-          } else {
-            cache_.insert(key, {r.value, shared, spec->code, norm});
-          }
-          evicted_after = cache_.evictions();
-        }
-        if (evicted_after != evicted_before) {
-          MutexLock slk(stats_mutex_);
-          stats_.evictions += evicted_after - evicted_before;
-        }
-      }
-    }
-    r.cache_hit = hit;
-    r.latency_ms = item.submitted.elapsed_ms();
-    // Completion stamp derived from the latency read above; the hit
-    // probe span and the window record reuse it rather than reading the
-    // clock twice more on the hot path.
-    const std::uint64_t settled_ns =
-        item.enqueued_ns +
-        static_cast<std::uint64_t>(r.latency_ms * 1e6);
-    if (hit && probe_start != 0) {
-      // The hit probe span closes at completion (lookup through the
-      // books); `a = 1` marks the hit.
+    if (probe_start != 0) {
       obs::Span s;
       s.kind = obs::SpanKind::CacheProbe;
       s.start_ns = probe_start;
-      s.dur_ns = settled_ns > probe_start ? settled_ns - probe_start : 0;
-      s.a = 1;
+      const std::uint64_t now = obs::Tracer::now_ns();
+      s.dur_ns = now > probe_start ? now - probe_start : 0;
+      s.a = 0;
       obs::record_stage(s);
     }
-    record(r.latency_ms, &ws);
-    {
-      MutexLock lk(stats_mutex_);
-      ++stats_.completed;
-      --stats_.in_flight;
-      if (hit) ++stats_.cache_hits;
+  }
+  // Execution-space params: the source translated to its snapshot
+  // position. Payload vertex ids come back in snapshot space and are
+  // translated once, here in the worker — never under the cache lock.
+  algo::QueryParams exec = norm;
+  if (takes_source) exec.set("source", source);
+  // Lease span with explicit stamps (a scoped span would have to outlive
+  // this statement or force a move of the lease).
+  const std::uint64_t lease_start =
+      obs::stage_wanted() ? obs::Tracer::now_ns() : 0;
+  EnginePool::Lease lease = pool_.lease(snap);
+  if (lease_start != 0) {
+    obs::Span s;
+    s.kind = obs::SpanKind::EngineLease;
+    s.start_ns = lease_start;
+    s.dur_ns = obs::Tracer::now_ns() - lease_start;
+    s.a = snap.version();
+    obs::record_stage(s);
+  }
+  // Chaos hook: a query that fails after the lease was taken — the lease
+  // must come back via RAII (invariant: outstanding() drains to zero
+  // whatever happens below).
+  FaultInjector::instance().failure_point(FaultInjector::Hook::QueryThrow,
+                                          "query execution");
+  algo::QueryPayload payload;
+  {
+    obs::StageScope run(obs::SpanKind::Execute);
+    if (run.live()) run.span().a = snap.version();
+    // Bind the query's context for the duration of the run: the
+    // framework entry points and the algorithms' hand-rolled loops poll
+    // it between supersteps, so cancellation / deadline expiry stops the
+    // traversal within one superstep. RAII unbind keeps a cancelled run
+    // from leaking its context into the engine's next lease.
+    Engine::ContextBinding bind(lease.engine(), item.ctx);
+    payload = spec->run(lease.engine(), exec, item.ctx);
+  }
+  lease.release();
+  std::shared_ptr<const algo::QueryPayload> shared;
+  {
+    obs::StageScope tr(obs::SpanKind::Translate);
+    if (tr.live()) {
+      std::uint64_t nvert = 0;
+      switch (payload.kind()) {
+        case algo::PayloadKind::VertexDoubles:
+          nvert = payload.doubles().size();
+          break;
+        case algo::PayloadKind::VertexIds:
+          nvert = payload.ids().size();
+          break;
+        default: break;
+      }
+      tr.span().a = nvert;
     }
-    // Close the trace before resolving the promise so the client's
-    // future carries the complete span set. Tail samples settle here
-    // too: keep iff over the rolling threshold, drop otherwise.
-    if (trace) r.trace = std::make_shared<const obs::Trace>(trace->finish());
-    if (sampling)
-      settle_sample(item, r.latency_ms, /*ok=*/true, ErrorCode::Internal,
-                    r.version);
-    observe_settled(item.q.algo, r.latency_ms, obs::SlidingWindow::kOk,
-                    settled_ns);
-    settle_heartbeat(&ws);
-    item.promise.set_value(r);
-  } catch (const ServiceError& e) {
-    // Already typed: count the code and hand the original object on.
-    {
-      MutexLock lk(stats_mutex_);
-      ++stats_.failed;
-      --stats_.in_flight;
-      ++stats_.errors_by_code[code_index(e.code())];
+    // The fold runs in snapshot order — the order the legacy surface
+    // sums in — so checksums stay byte-identical across orderings.
+    r.value = spec->checksum(payload);
+    // Translation is skipped entirely when nobody will see the payload
+    // (checksum-only query, cache off) — scalar answers stay cheap.
+    // Chaos hook: allocation failure at the one serve-path allocation
+    // that scales with the answer (per-vertex payload copy).
+    FaultInjector::instance().failure_point(FaultInjector::Hook::AllocThrow,
+                                            "payload allocation");
+    if (want_payload || opts_.enable_cache)
+      shared = std::make_shared<const algo::QueryPayload>(
+          perm != nullptr ? algo::translate_to_original_ids(payload, *perm)
+                          : std::move(payload));
+  }
+  if (want_payload) r.payload = shared;
+  if (!opts_.enable_cache) return;
+  std::uint64_t evicted_before = 0, evicted_after = 0;
+  {
+    MutexLock lk(cache_mutex_);
+    evicted_before = cache_.evictions();
+    if (cache_version_ < snap.version()) {
+      // First entry for a new epoch (a publish bypassed this service's
+      // publish(), or invalidate_cache left the generation behind):
+      // start a fresh generation. The bypassing publish told us nothing
+      // about its permutation; a later refresh must assume it changed.
+      cache_.clear();
+      cache_version_ = snap.version();
+      cache_perm_known_ = false;
     }
-    const double lat_ms = item.submitted.elapsed_ms();
-    if (sampling) settle_sample(item, lat_ms, /*ok=*/false, e.code(), 0);
-    observe_settled(item.q.algo, lat_ms, code_index(e.code()));
-    settle_heartbeat(&ws);
-    item.promise.set_exception(std::current_exception());
-  } catch (const CancelledError& e) {
-    // Cooperative checkpoint fired mid-run (within one superstep of the
-    // cancel); retype so clients branch on code().
-    fail(item, ErrorCode::Cancelled, e.what(), sampling, &ws);
-  } catch (const DeadlineExceededError& e) {
-    fail(item, ErrorCode::DeadlineExceeded, e.what(), sampling, &ws);
-  } catch (const std::exception& e) {
-    // Algorithm throw, translation failure, allocation failure, injected
-    // fault — anything that escaped the run. The engine lease and the
-    // snapshot pin were released by RAII on the unwind.
-    fail(item, ErrorCode::Internal, e.what(), sampling, &ws);
-  } catch (...) {
-    fail(item, ErrorCode::Internal, "unknown exception", sampling, &ws);
+    // An older-epoch result (a publish raced us) is simply not cached:
+    // it must never resurrect entries for a superseded graph.
+    if (cache_version_ == snap.version())
+      cache_.insert(key, {r.value, shared, spec->code, norm});
+    evicted_after = cache_.evictions();
+  }
+  if (evicted_after != evicted_before) {
+    MutexLock slk(stats_mutex_);
+    stats_.evictions += evicted_after - evicted_before;
   }
 }
 
-void GraphService::fail(Item& item, ErrorCode code, const std::string& what,
-                        bool sampled, WorkerState* ws) {
+void GraphService::settle(Item& item, WorkerState& ws, Outcome& out) {
+  const bool ok = out.error == nullptr;
+  // The settle's one clock read. The completion stamp is derived from
+  // it, so the hit probe span and the window record reuse it.
+  const double latency_ms = item.submitted.elapsed_ms();
+  const std::uint64_t settled_ns =
+      item.enqueued_ns + static_cast<std::uint64_t>(latency_ms * 1e6);
+  if (out.probe_start != 0) {
+    // The hit probe span closes at completion (lookup through the
+    // books); `a = 1` marks the hit.
+    obs::Span s;
+    s.kind = obs::SpanKind::CacheProbe;
+    s.start_ns = out.probe_start;
+    s.dur_ns = settled_ns > out.probe_start ? settled_ns - out.probe_start : 0;
+    s.a = 1;
+    obs::record_stage(s);
+  }
+  // (1) The ledger, shed counters included, in one critical section.
   {
     MutexLock lk(stats_mutex_);
-    ++stats_.failed;
     --stats_.in_flight;
-    ++stats_.errors_by_code[code_index(code)];
+    if (ok) {
+      ++stats_.completed;
+      if (out.result.cache_hit) ++stats_.cache_hits;
+    } else {
+      ++stats_.failed;
+      ++stats_.errors_by_code[code_index(out.code)];
+      if (out.shed)
+        ++(out.code == ErrorCode::Cancelled ? stats_.shed_cancelled
+                                            : stats_.shed_deadline);
+    }
   }
-  const double lat_ms = item.submitted.elapsed_ms();
-  // Failures always keep their tail sample — a failed query IS the
-  // forensic case tail sampling exists for.
-  if (sampled) settle_sample(item, lat_ms, /*ok=*/false, code, 0);
-  observe_settled(item.q.algo, lat_ms, code_index(code));
-  settle_heartbeat(ws);
-  // set_exception, not throw: the worker thread must survive the failure
-  // and the client must see it — exactly once each.
-  item.promise.set_exception(
-      std::make_exception_ptr(ServiceError(code, what)));
+  // (2) Answers land in the worker's own latency histogram: uncontended
+  // in steady state (latency() is the only other reader). Log-bucketed
+  // microseconds (~6% resolution, bounded bin count — a one-off
+  // multi-second outlier must not balloon the histogram); 0 rounds up to
+  // 1us so the p50 of all-cache-hit workloads is not exactly zero.
+  if (ok) {
+    out.result.latency_ms = latency_ms;
+    const auto us =
+        static_cast<std::uint64_t>(std::max(1.0, latency_ms * 1000.0));
+    MutexLock lk(ws.lat_mutex);
+    ws.lat_buckets.add(log_bucket(us));
+    ws.lat_sum_ms += latency_ms;
+  }
+  // (3) Close the trace before resolving the promise so a traced
+  // answer carries the complete span set.
+  if (item.q.trace || opts_.telemetry.tail_sampling)
+    finish_trace(item, out, latency_ms);
+  // (4) The window sees answers and failures alike.
+  observe_settled(item.q.algo, latency_ms,
+                  ok ? obs::SlidingWindow::kOk : code_index(out.code),
+                  settled_ns);
+  // (5) Heartbeat: processed + idle, BEFORE the promise resolves.
+  ws.processed.fetch_add(1, std::memory_order_relaxed);
+  ws.busy_since_us.store(-1, std::memory_order_release);
+  // (6) set_exception, not throw: the worker thread must survive the
+  // failure and the client must see it — exactly once each.
+  if (ok)
+    item.promise.set_value(std::move(out.result));
+  else
+    item.promise.set_exception(out.error);
 }
 
-void GraphService::settle_sample(Item& item, double latency_ms, bool ok,
-                                 ErrorCode code, std::uint64_t version) {
-  if (!obs::Tracer::thread_tracing()) return;  // never double-settle
+void GraphService::finish_trace(Item& item, Outcome& out, double latency_ms) {
+  const bool ok = out.error == nullptr;
+  if (item.q.trace) {
+    // Opted in: always kept, and the spans ride on the answer.
+    obs::Trace t = obs::Tracer::end_reusing(/*keep=*/true);
+    if (ok) out.result.trace = std::make_shared<const obs::Trace>(std::move(t));
+    return;
+  }
   bool keep = false;
   std::string reason;
   if (!ok) {
+    // A failed query IS the forensic case tail sampling exists for.
     keep = true;
-    reason = code == ErrorCode::DeadlineExceeded
+    reason = out.code == ErrorCode::DeadlineExceeded
                  ? "deadline"
-                 : std::string("error:") + to_string(code);
+                 : std::string("error:") + to_string(out.code);
   } else {
     const std::uint64_t thr =
         keep_threshold_us_.load(std::memory_order_relaxed);
@@ -643,7 +562,7 @@ void GraphService::settle_sample(Item& item, double latency_ms, bool ok,
   ct.algo = item.q.algo;
   ct.reason = std::move(reason);
   ct.latency_ms = latency_ms;
-  ct.version = version;
+  ct.version = ok ? out.result.version : 0;
   trace_store_.push(std::move(ct));
 }
 
@@ -712,71 +631,14 @@ double GraphService::oldest_running_ms_now() const {
   return oldest;
 }
 
-bool GraphService::try_serve_stale(Item& item, WorkerState* ws) {
-  if (!opts_.serve_stale) return false;
-  // The stale key is the same canonical identity a live lookup would
-  // use; anything that fails here (unknown code, bad params) just means
-  // "no stale answer" — the caller produces the real typed error.
-  const algo::AlgorithmSpec* spec = algo::find_spec(item.q.algo);
-  if (spec == nullptr) return false;
-  algo::QueryParams norm;
-  try {
-    algo::QueryParams raw = item.q.params;
-    if (spec->params.find("source") != nullptr && !raw.has("source"))
-      raw.set("source", item.q.source);
-    norm = spec->params.validate(raw);
-  } catch (...) {
-    return false;
-  }
-  const CacheKey key = CacheKey::make(spec->code, norm);
-  QueryResult r;
-  {
-    MutexLock lk(cache_mutex_);
-    const ResultCache::Value* v = cache_.find_stale(key);
-    if (v == nullptr) return false;
-    r.value = v->checksum;
-    if (item.q.result == ResultKind::Payload) r.payload = v->payload;
-    // The epoch the retired generation was computed on — the client can
-    // see exactly how stale the answer is.
-    r.version = stale_version_;
-  }
-  r.stale = true;
-  r.cache_hit = true;
-  r.latency_ms = item.submitted.elapsed_ms();
-  record(r.latency_ms, ws);
-  {
-    MutexLock lk(stats_mutex_);
-    ++stats_.completed;
-    ++stats_.stale_served;
-    --stats_.in_flight;
-  }
-  // A stale answer is a success to the client; the window sees it as one.
-  observe_settled(item.q.algo, r.latency_ms, obs::SlidingWindow::kOk);
-  settle_heartbeat(ws);
-  item.promise.set_value(r);
-  return true;
-}
-
-void GraphService::invalidate_cache(std::uint64_t published_version) {
+void GraphService::invalidate_cache() {
   bool wiped = false;
   {
     MutexLock lk(cache_mutex_);
     wiped = cache_.size() != 0;
-    if (opts_.serve_stale) {
-      // Rotate unconditionally: the retired generation must never lag
-      // more than one epoch (an empty live generation displacing an
-      // older stale one is correct — no stale answer beats an ancient
-      // one). Advance the version eagerly so the rotation and its epoch
-      // stamp stay consistent.
-      cache_.rotate();
-      stale_version_ = cache_version_;
-      if (published_version > cache_version_)
-        cache_version_ = published_version;
-    } else {
-      if (wiped) cache_.clear();
-      // Leave cache_version_ behind the store version; the next miss
-      // brings the generation forward.
-    }
+    if (wiped) cache_.clear();
+    // Leave cache_version_ behind the store version; the next miss
+    // brings the generation forward.
     // This path records no permutation for the generation it opened.
     cache_perm_known_ = false;
   }
@@ -809,16 +671,7 @@ void GraphService::refresh_cache(
                   ((cache_perm_ == nullptr && perm == nullptr) ||
                    (cache_perm_ != nullptr && perm != nullptr &&
                     *cache_perm_ == *perm));
-    if (opts_.serve_stale) {
-      // Same rotation contract as invalidate_cache: the retired
-      // generation is the pre-publish one. Entries refreshed below are
-      // reinserted into the LIVE generation only — the stale one stays
-      // a faithful picture of the previous epoch.
-      cache_.rotate();
-      stale_version_ = cache_version_;
-    } else {
-      cache_.clear();
-    }
+    cache_.clear();
     if (new_version > cache_version_) cache_version_ = new_version;
     cache_perm_ = perm;
     cache_perm_known_ = true;
@@ -943,18 +796,6 @@ void GraphService::refresh_cache(
   }
 }
 
-void GraphService::prewarm_engines() {
-  const SnapshotRef snap = store_.acquire();
-  if (!snap) return;
-  try {
-    EnginePool::Lease lease = pool_.lease(snap);
-    lease.engine().prewarm();
-  } catch (...) {
-    // Pre-warm is an optimization; a failure here must not fail the
-    // publish that requested it.
-  }
-}
-
 std::vector<GraphService::RefreshLatency> GraphService::refresh_latency()
     const {
   MutexLock lk(stats_mutex_);
@@ -1010,43 +851,16 @@ ServiceHealth GraphService::health() const {
   return h;
 }
 
-void GraphService::record(double latency_ms, WorkerState* ws) {
-  // Log-bucketed microseconds (~6% resolution, bounded bin count — a
-  // one-off multi-second outlier must not balloon the histogram). 0
-  // rounds up to 1us so the p50 of all-cache-hit workloads is not
-  // reported as exactly zero.
-  const auto us = static_cast<std::uint64_t>(
-      std::max(1.0, latency_ms * 1000.0));
-  const std::uint64_t bucket = log_bucket(us);
-  if (ws != nullptr) {
-    // Worker completions land in the worker's own histogram: uncontended
-    // in steady state (latency() is the only other reader).
-    MutexLock lk(ws->lat_mutex);
-    ws->lat_buckets.add(bucket);
-    ws->lat_sum_ms += latency_ms;
-  } else {
-    // Off-worker samples (submit-thread stale serves).
-    MutexLock lk(stats_mutex_);
-    latency_buckets_.add(bucket);
-    latency_sum_ms_ += latency_ms;
-  }
-}
-
 GraphServiceStats GraphService::stats() const {
   MutexLock lk(stats_mutex_);
   return stats_;
 }
 
 LatencySummary GraphService::latency() const {
-  // Merge the per-worker histograms with the service-level one; locks
-  // are taken one at a time (no nesting), so workers keep recording.
+  // Merge the per-worker histograms; locks are taken one at a time (no
+  // nesting), so workers keep recording.
   Histogram merged;
   double sum_ms = 0;
-  {
-    MutexLock lk(stats_mutex_);
-    merged = latency_buckets_;
-    sum_ms = latency_sum_ms_;
-  }
   for (const auto& ws : worker_state_) {
     MutexLock lk(ws->lat_mutex);
     merged.merge(ws->lat_buckets);
@@ -1103,9 +917,6 @@ void GraphService::collect_metrics(std::vector<obs::MetricSample>& out) const {
   emit(MetricType::Counter, "vebo_service_shed_total",
        "accepted queries shed before execution",
        static_cast<double>(st.shed_cancelled), {{"reason", "cancelled"}});
-  emit(MetricType::Counter, "vebo_service_stale_served_total",
-       "answers served from the retired cache generation",
-       static_cast<double>(st.stale_served));
   for (std::size_t i = 0; i < kNumErrorCodes; ++i)
     emit(MetricType::Counter, "vebo_service_errors_total",
          "failures by ServiceError code",
@@ -1118,7 +929,7 @@ void GraphService::collect_metrics(std::vector<obs::MetricSample>& out) const {
        "queries answered from the live cache generation",
        static_cast<double>(st.cache_hits));
   emit(MetricType::Counter, "vebo_cache_invalidations_total",
-       "cache generations wiped or rotated by publish",
+       "cache generations wiped by publish",
        static_cast<double>(st.invalidations));
   emit(MetricType::Counter, "vebo_cache_refreshes_total",
        "entries refreshed in place across a publish (refresh_on_publish)",
@@ -1139,9 +950,6 @@ void GraphService::collect_metrics(std::vector<obs::MetricSample>& out) const {
     emit(MetricType::Gauge, "vebo_cache_entries",
          "live-generation entries resident",
          static_cast<double>(cache_.size()));
-    emit(MetricType::Gauge, "vebo_cache_stale_entries",
-         "retired-generation entries resident",
-         static_cast<double>(cache_.stale_size()));
   }
 
   const EnginePoolStats ps = pool_.stats();

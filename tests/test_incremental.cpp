@@ -238,6 +238,9 @@ std::vector<SpecCase> refreshable_cases() {
       // the from-scratch reference must too (ROADMAP "Incremental
       // maintenance" spells out this contract).
       {"PR", QueryParams().set("iterations", 120)},
+      // The default 10-iteration PR is a short run, not the fixed point:
+      // its hook must answer exactly what a recompute answers.
+      {"PR", QueryParams()},
       {"PRD", QueryParams().set("max_iters", 200).set("epsilon", 1e-8)},
       {"CC", QueryParams()},
       {"BFS", QueryParams().set("source", 1)},
@@ -356,7 +359,6 @@ TEST_P(RefreshEquivalence, RefreshedAnswersMatchFromScratch) {
       // Truthful epoch: a refreshed (or recomputed) answer names the
       // epoch it is valid for, never the one it was warm-started from.
       EXPECT_EQ(got.version, v) << c.code << " round " << round;
-      EXPECT_FALSE(got.stale);
       ASSERT_NE(got.payload, nullptr);
       const QueryPayload want = session.query_typed(c.code, c.params);
       expect_payload_equiv(c.code, *got.payload, want,
@@ -485,26 +487,6 @@ TEST(RefreshOnPublish, DefaultModeIsUnchanged) {
   EXPECT_GE(service.stats().invalidations, 1u);
 }
 
-TEST(RefreshOnPublish, PrewarmPublishKeepsServingCorrectly) {
-  const Graph base = gen::rmat(8, 6, 505);
-  StreamSession session(base);
-  SnapshotStore store;
-  GraphServiceOptions o = refresh_service(SystemModel::Polymer);
-  o.prewarm_on_publish = true;
-  GraphService service(store, o);
-  service.publish_session(session);
-  // The pre-warm lease must have been returned to the pool.
-  EXPECT_EQ(service.engine_pool().outstanding(), 0u);
-
-  const double want = session.query("CC");
-  EXPECT_EQ(service.query({"CC", 0}).value, want);
-
-  session.apply(std::vector<EdgeUpdate>{EdgeUpdate::insert(2, 3)});
-  service.publish_session(session);
-  EXPECT_EQ(service.engine_pool().outstanding(), 0u);
-  EXPECT_EQ(service.query({"CC", 0}).value, session.query("CC"));
-}
-
 // ------------------------------------------------- refresh under chaos
 
 struct DisarmGuard {
@@ -529,7 +511,6 @@ TEST(RefreshOnPublish, SurvivesInjectedFaults) {
   SnapshotStore store;
   GraphServiceOptions o = refresh_service(SystemModel::Polymer, 3);
   o.queue_capacity = 16;
-  o.prewarm_on_publish = true;
   GraphService service(store, o);
   service.publish_session(session);
 

@@ -976,118 +976,6 @@ TEST(GraphService, CancellationStopsARunningTraversalPromptly) {
   EXPECT_GT(service.query({"CC", 0}).value, 0.0);
 }
 
-TEST(GraphService, RetryWithBackoffRidesOutBackpressure) {
-  const Graph base = gen::rmat(8, 4, 204);
-  StreamSession session(base);
-  SnapshotStore store;
-  GraphServiceOptions o = small_service(1);
-  o.queue_capacity = 1;
-  o.enable_cache = false;
-  GraphService service(store, o);
-  service.publish_session(session);
-
-  // Saturate: worker + the single queue slot.
-  std::vector<std::future<QueryResult>> busy;
-  for (int i = 0; i < 2; ++i) {
-    auto sub = service.submit({"PR", 0});
-    if (sub.accepted()) busy.push_back(std::move(sub.result));
-  }
-  // Default policy (one attempt) sees Overloaded under this flood
-  // eventually; with retries the same call rides it out.
-  serve::RetryPolicy retry;
-  retry.max_attempts = 200;
-  retry.initial_backoff_ms = 0.5;
-  const QueryResult r = service.query({"BFS", 0}, retry);
-  EXPECT_GT(r.value, 0.0);
-  for (auto& f : busy) f.get();
-}
-
-TEST(GraphService, StaleServeAnswersFromPreviousEpochMarked) {
-  const Graph base = gen::rmat(9, 6, 205);
-  StreamSession session(base);
-  SnapshotStore store;
-  GraphServiceOptions o = small_service(1);
-  o.queue_capacity = 1;
-  o.serve_stale = true;
-  GraphService service(store, o);
-  service.publish_session(session);
-
-  // Warm the v1 cache, then publish v2: the v1 generation is retired,
-  // not wiped.
-  const double v1_cc = service.query({"CC", 0}).value;
-  const std::vector<EdgeUpdate> batch1 = {EdgeUpdate::insert(1, 2),
-                                          EdgeUpdate::insert(2, 3)};
-  session.apply(batch1);
-  service.publish_session(session);
-
-  // Saturate worker + queue so the next submit hits backpressure...
-  CancelSource stop_slow;
-  Query slow = slow_query();
-  slow.cancel = stop_slow.token();
-  auto running = service.submit(slow);
-  ASSERT_TRUE(running.accepted());
-  wait_until_running(service);
-  auto queued = service.submit(slow_query(1));
-  ASSERT_TRUE(queued.accepted());
-
-  // ...and the overloaded CC query is answered from the retired v1
-  // generation: explicit stale flag, the epoch it was computed on, and
-  // the v1 value.
-  auto sub = service.submit({"CC", 0});
-  ASSERT_TRUE(sub.accepted());
-  const QueryResult stale = sub.result.get();
-  EXPECT_TRUE(stale.stale);
-  EXPECT_EQ(stale.version, 1u);
-  EXPECT_EQ(stale.value, v1_cc);
-  EXPECT_GE(service.stats().stale_served, 1u);
-
-  // A miss in the stale generation still rejects (different key).
-  auto miss = service.submit({"BFS", 3});
-  EXPECT_EQ(miss.status, SubmitStatus::QueueFull);
-
-  stop_slow.cancel();
-  EXPECT_THROW(running.result.get(), serve::ServiceError);
-  queued.result.get();
-
-  // Once the queue drains, fresh queries run on v2 and are not stale.
-  const QueryResult fresh = service.query({"CC", 0});
-  EXPECT_FALSE(fresh.stale);
-  EXPECT_EQ(fresh.version, 2u);
-}
-
-TEST(GraphService, DefaultModeNeverServesStale) {
-  const Graph base = gen::rmat(8, 4, 206);
-  StreamSession session(base);
-  SnapshotStore store;
-  GraphServiceOptions o = small_service(1);
-  o.queue_capacity = 1;  // serve_stale stays default (off)
-  GraphService service(store, o);
-  service.publish_session(session);
-  service.query({"CC", 0});
-  const std::vector<EdgeUpdate> batch1 = {EdgeUpdate::insert(0, 1)};
-  session.apply(batch1);
-  service.publish_session(session);
-
-  CancelSource stop_slow;
-  Query slow = slow_query();
-  slow.cancel = stop_slow.token();
-  auto running = service.submit(slow);
-  ASSERT_TRUE(running.accepted());
-  wait_until_running(service);
-  auto queued = service.submit(slow_query(1));
-  ASSERT_TRUE(queued.accepted());
-
-  // Same overload shape as the stale-serve test — but off means off:
-  // plain QueueFull, no stale answer, flag never set.
-  auto sub = service.submit({"CC", 0});
-  EXPECT_EQ(sub.status, SubmitStatus::QueueFull);
-  EXPECT_EQ(service.stats().stale_served, 0u);
-
-  stop_slow.cancel();
-  EXPECT_THROW(running.result.get(), serve::ServiceError);
-  queued.result.get();
-}
-
 TEST(GraphService, WorkerCatchReleasesLeaseAndFailsExactlyOnce) {
   // The satellite audit regression: a spec that throws mid-execution
   // (injected) must release its engine lease via RAII, increment
